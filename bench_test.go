@@ -2,7 +2,8 @@
 // (one Benchmark per artifact, backed by internal/harness) plus
 // micro-benchmarks of the core mechanisms. The experiment scale defaults to
 // 0.25 to keep `go test -bench=.` tractable; set CGRAPH_BENCH_SCALE=1.0 for
-// the full reproduction scale used in EXPERIMENTS.md.
+// the full reproduction scale, the cgraph-bench default (README.md,
+// "Reproducing the paper's evaluation", indexes the experiments).
 package cgraph
 
 import (
@@ -17,6 +18,7 @@ import (
 	"cgraph/internal/harness"
 	"cgraph/internal/memsim"
 	"cgraph/internal/sched"
+	"cgraph/model"
 )
 
 func benchOpts() harness.Options {
@@ -69,7 +71,9 @@ func BenchmarkFig17(b *testing.B)  { benchTable(b, harness.Fig17) }
 func BenchmarkFig18(b *testing.B)  { benchTable(b, harness.Fig18) }
 func BenchmarkFig19(b *testing.B)  { benchTable(b, harness.Fig19) }
 
-// Ablation benches for the DESIGN.md design choices.
+// Ablation benches: each toggles one design choice — Fig. 6 straggler
+// splitting, the §3.3 core-subgraph partitioning and Eq. 1 ordering, and
+// §3.2.3 batching — on the same workload.
 
 func BenchmarkAblationStraggler(b *testing.B) { benchTable(b, harness.AblationStraggler) }
 func BenchmarkAblationScheduler(b *testing.B) { benchTable(b, harness.AblationScheduler) }
@@ -137,21 +141,36 @@ func BenchmarkTriggerIteration(b *testing.B) {
 }
 
 func BenchmarkPushSync(b *testing.B) {
-	// Algorithm 2 over a first PageRank iteration's mirror deltas.
+	// Algorithm 2 over a first PageRank iteration's mirror deltas, on a
+	// warmed job: one push has sized the job's buffers, and every timed
+	// push starts from the same restored pre-push table, so the reported
+	// allocations are those of a steady-state push.
 	edges, g := microGraph(b)
 	pg, err := graph.Cut(g, edges, graph.Options{NumPartitions: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
+	j := exec.NewJob(0, algo.NewPageRank(), pg)
+	sc := &exec.Scratch{}
+	for pid := range pg.Parts {
+		j.ProcessPartition(pid, sc)
+	}
+	states := make([][]model.State, len(pg.Parts))
+	for pid := range pg.Parts {
+		states[pid] = append([]model.State(nil), j.PT.States[pid]...)
+	}
+	restore := func() {
+		for pid := range pg.Parts {
+			copy(j.PT.States[pid], states[pid])
+			j.PT.Next[pid].Reset()
+		}
+	}
+	j.Push()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		j := exec.NewJob(0, algo.NewPageRank(), pg)
-		sc := &exec.Scratch{}
-		for pid := range pg.Parts {
-			j.ProcessPartition(pid, sc)
-		}
+		restore()
 		b.StartTimer()
 		j.Push()
 	}
@@ -159,18 +178,13 @@ func BenchmarkPushSync(b *testing.B) {
 
 func BenchmarkEndToEndFourJobs(b *testing.B) {
 	// Full CGraph runs of the 4-job workload on a mid-size graph.
-	edges, g := microGraph(b)
+	edges, _ := microGraph(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		pg, err := graph.Cut(g, edges, graph.Options{NumPartitions: 32, CoreSubgraph: true})
-		if err != nil {
-			b.Fatal(err)
-		}
 		sys := NewSystem(WithWorkers(8), WithPartitions(32))
 		b.StartTimer()
-		_ = pg
 		if err := sys.LoadEdges(4000, edges); err != nil {
 			b.Fatal(err)
 		}

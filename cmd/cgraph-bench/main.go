@@ -1,5 +1,6 @@
 // Command cgraph-bench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md for the experiment index).
+// figures (README.md, "Reproducing the paper's evaluation", indexes the
+// experiments).
 //
 // Usage:
 //

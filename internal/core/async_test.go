@@ -129,3 +129,47 @@ func TestEngineBSPPlanUnchangedByModeFields(t *testing.T) {
 		t.Fatalf("per-mode counts wrong for BSP-only run: %+v", st)
 	}
 }
+
+// TestEngineStaticChunkingParity runs BSP and async jobs under the legacy
+// static vertex-count decomposition with fewer workers than jobs, so
+// trigger batches of different sizes reuse the same task slab and
+// materialized-locals buffers, and pins results against the references.
+func TestEngineStaticChunkingParity(t *testing.T) {
+	edges := gen.RMAT(33, 400, 8000, 0.57, 0.19, 0.19)
+	pg := buildPG(t, edges, 400, 8, true)
+	e := NewSingle(Config{Workers: 2, Hier: smallHier(), StaticChunking: true}, pg)
+
+	pr := e.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-9}, 0)
+	prAsync := e.SubmitWith(context.Background(), &algo.PageRank{Damping: 0.85, Epsilon: 1e-9}, SubmitOpts{Mode: exec.ModeAsync})
+	ss := e.Submit(algo.NewSSSP(0), 0)
+	ssAsync := e.SubmitWith(context.Background(), algo.NewSSSP(0), SubmitOpts{Mode: exec.ModeAsync})
+	bf := e.Submit(algo.NewBFS(0), 0)
+
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wantPR := refimpl.PageRank(pg.G, 0.85, 1e-12, 3000)
+	for _, id := range []int{pr, prAsync} {
+		res, err := e.Results(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range res {
+			if math.Abs(res[v]-wantPR[v]) > 1e-6 {
+				t.Fatalf("pagerank job %d vertex %d: got %v want %v", id, v, res[v], wantPR[v])
+			}
+		}
+	}
+	exact := map[int][]float64{ss: refimpl.SSSP(pg.G, 0), ssAsync: refimpl.SSSP(pg.G, 0), bf: refimpl.BFS(pg.G, 0)}
+	for id, want := range exact {
+		res, err := e.Results(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range res {
+			if res[v] != want[v] && !(math.IsInf(res[v], 1) && math.IsInf(want[v], 1)) {
+				t.Fatalf("job %d vertex %d: got %v want %v", id, v, res[v], want[v])
+			}
+		}
+	}
+}

@@ -251,6 +251,8 @@ type Engine struct {
 	// 1-in-N "pool.task" sampling; loop-goroutine only (sampling is decided
 	// at task construction, not execution).
 	taskSeq int64
+	// ts is the trigger's reused working set; loop-goroutine only.
+	ts triggerScratch
 
 	jobs []*runJob
 
@@ -1128,6 +1130,56 @@ type triggerTask struct {
 	stats  exec.Stats
 }
 
+// triggerScratch is the trigger's working set, owned by the round
+// goroutine and reused by every trigger call: the task slab (a reused
+// task's Scratch is Reset, so its buffers keep their capacity), the pool
+// task lists, and the per-job merge grouping. Reuse is safe because every
+// apply and merge task has finished before trigger returns.
+type triggerScratch struct {
+	slab   []*triggerTask
+	tasks  []*triggerTask
+	ptasks []pool.Task
+	subs   []pool.Task
+	mtasks []pool.Task
+	perJob []exec.Stats
+	scs    []*exec.Scratch
+	ranges []exec.Range
+	locals [][]uint32
+}
+
+// task appends the next slab task for (rj, pid) to the call's task list.
+func (ts *triggerScratch) task(rj *runJob, pid int, weight int64) *triggerTask {
+	n := len(ts.tasks)
+	if n == len(ts.slab) {
+		ts.slab = append(ts.slab, &triggerTask{})
+	}
+	t := ts.slab[n]
+	*t = triggerTask{rj: rj, pid: pid, weight: weight, sc: t.sc}
+	t.sc.Reset()
+	ts.tasks = append(ts.tasks, t)
+	return t
+}
+
+// release drops the call's references to jobs and task closures, so a
+// retired job's tables are not kept alive by an idle slab slot.
+func (ts *triggerScratch) release() {
+	for _, t := range ts.tasks {
+		t.rj, t.locals = nil, nil
+	}
+	clear(ts.ptasks)
+	clear(ts.subs)
+	clear(ts.mtasks)
+}
+
+// reuse returns s emptied with room for n elements, reallocating only when
+// its capacity is short.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // trigger processes one loaded partition version for a batch of jobs on the
 // shared work-stealing pool, returning the virtual compute time of the
 // phase. Each item carries its job-local partition index. With straggler
@@ -1136,12 +1188,14 @@ type triggerTask struct {
 // job's work stays one task.
 func (e *Engine) trigger(batch []unitJob) float64 {
 	split := !e.cfg.DisableStragglerSplit
-	var tasks []*triggerTask
+	ts := &e.ts
+	defer ts.release()
 	if e.cfg.StaticChunking {
-		tasks = e.staticTasks(batch, split)
+		e.staticTasks(batch, split)
 	} else {
-		tasks = e.frontierTasks(batch, split)
+		e.frontierTasks(batch, split)
 	}
+	tasks := ts.tasks
 
 	// Apply phase: BSP tasks touch disjoint vertex states, so they are
 	// free to run on any worker. Fresh-state (async/delayed) jobs
@@ -1150,7 +1204,9 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 	// block order by the task builders — are chained into one sequenced
 	// pool task: the block order is preserved on a single worker while
 	// distinct jobs and partitions still balance across the pool.
-	ptasks := make([]pool.Task, 0, len(tasks))
+	ptasks := reuse(ts.ptasks, len(tasks))
+	// subs never outgrows len(tasks), so the chains' sub-slices stay put.
+	subs := reuse(ts.subs, len(tasks))
 	for i := 0; i < len(tasks); {
 		t := tasks[i]
 		if t.rj.Mode == exec.ModeBSP {
@@ -1163,46 +1219,48 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 			i++
 			continue
 		}
-		start := i
-		for i < len(tasks) && tasks[i].rj == t.rj && tasks[i].pid == t.pid {
-			i++
+		first := len(subs)
+		for ; i < len(tasks) && tasks[i].rj == t.rj && tasks[i].pid == t.pid; i++ {
+			subs = append(subs, e.applyTask(tasks[i]))
 		}
-		sub := make([]pool.Task, 0, i-start)
-		for _, ft := range tasks[start:i] {
-			sub = append(sub, e.applyTask(ft))
-		}
-		ct := pool.Chain(sub)
+		ct := pool.Chain(subs[first:])
 		if e.cfg.Tracer != nil && t.rj.span.Valid() {
 			ct.Trace = e.taskTrace(t.rj, ct.Weight)
 		}
 		ptasks = append(ptasks, ct)
 		t.rj.roundTasks++
 	}
+	ts.ptasks, ts.subs = ptasks, subs
 	applySt := e.pool.Run(ptasks)
 
 	// Merge phase on the same bounded pool — one task per job folds its
 	// scratches in task order (deterministic float accumulation) — instead
-	// of one unbounded goroutine per job.
-	perJob := make([]exec.Stats, len(batch))
-	mtasks := make([]pool.Task, 0, len(batch))
+	// of one unbounded goroutine per job. The task builders emit each batch
+	// item's tasks contiguously and in batch order, so one pass groups them.
+	perJob := reuse(ts.perJob, len(batch))[:len(batch)]
+	clear(perJob)
+	mtasks := reuse(ts.mtasks, len(batch))
+	// scs never outgrows len(tasks), so each job's sub-slice stays put.
+	scs := reuse(ts.scs, len(tasks))
+	k := 0
 	for i, it := range batch {
-		var scs []*exec.Scratch
+		first := len(scs)
 		var w int64
-		for _, t := range tasks {
-			if t.rj == it.rj {
-				scs = append(scs, &t.sc)
-				perJob[i].Add(t.stats)
-				w += int64(t.sc.Len())
-			}
+		for ; k < len(tasks) && tasks[k].rj == it.rj && tasks[k].pid == it.pid; k++ {
+			t := tasks[k]
+			scs = append(scs, &t.sc)
+			perJob[i].Add(t.stats)
+			w += int64(t.sc.Len())
 		}
-		if len(scs) == 0 {
+		if len(scs) == first {
 			continue
 		}
-		rj, pid, scs := it.rj, it.pid, scs
+		rj, pid, js := it.rj, it.pid, scs[first:]
 		mtasks = append(mtasks, pool.Task{Weight: w, Run: func(int) {
-			rj.Merge(pid, scs...)
+			rj.Merge(pid, js...)
 		}})
 	}
+	ts.perJob, ts.mtasks, ts.scs = perJob, mtasks, scs
 	mergeSt := e.pool.Run(mtasks)
 
 	// Virtual-time accounting: the phase takes the makespan lower bound of
@@ -1307,50 +1365,55 @@ func (e *Engine) taskTrace(rj *runJob, weight int64) func(worker int, stolen boo
 }
 
 // frontierTasks slices each job's active frontier into edge-weighted ranges
-// of roughly totalWeight/(Workers·Balance) scatter edges each. The weight
-// walk uses the partition CSR prefix sums, so a hub vertex becomes a task
-// of its own while runs of leaves coalesce.
-func (e *Engine) frontierTasks(batch []unitJob, split bool) []*triggerTask {
+// of roughly totalWeight/(Workers·Balance) scatter edges each, appending the
+// tasks to e.ts.tasks item by item in batch order. The weight walk uses the
+// partition CSR prefix sums, so a hub vertex becomes a task of its own
+// while runs of leaves coalesce.
+func (e *Engine) frontierTasks(batch []unitJob, split bool) {
+	ts := &e.ts
+	ts.tasks = ts.tasks[:0]
 	target := int64(math.MaxInt64)
 	if split {
 		var totalW int64
 		for _, it := range batch {
-			for _, r := range it.rj.SliceActive(it.pid, math.MaxInt64, nil) {
+			ts.ranges = it.rj.SliceActive(it.pid, math.MaxInt64, ts.ranges[:0])
+			for _, r := range ts.ranges {
 				totalW += r.Weight
 			}
 		}
 		target = int64(float64(totalW)/(float64(e.cfg.Workers)*e.cfg.Balance)) + 1
 	}
-	var tasks []*triggerTask
-	var buf []exec.Range
 	for _, it := range batch {
-		buf = it.rj.SliceActive(it.pid, target, buf[:0])
-		for _, r := range buf {
-			tasks = append(tasks, &triggerTask{rj: it.rj, pid: it.pid, r: r, weight: r.Weight})
+		ts.ranges = it.rj.SliceActive(it.pid, target, ts.ranges[:0])
+		for _, r := range ts.ranges {
+			ts.task(it.rj, it.pid, r.Weight).r = r
 		}
 	}
-	return tasks
 }
 
 // staticTasks is the legacy skew-blind decomposition (ablation/bench
 // baseline): materialize each job's active locals and cut them into
-// fixed-size vertex-count chunks, hub or leaf alike.
-func (e *Engine) staticTasks(batch []unitJob, split bool) []*triggerTask {
-	jobLocals := make([][]uint32, len(batch))
+// fixed-size vertex-count chunks, hub or leaf alike. Like frontierTasks it
+// appends to e.ts.tasks item by item in batch order.
+func (e *Engine) staticTasks(batch []unitJob, split bool) {
+	ts := &e.ts
+	ts.tasks = ts.tasks[:0]
+	for len(ts.locals) < len(batch) {
+		ts.locals = append(ts.locals, nil)
+	}
 	total := 0
 	for i, it := range batch {
-		jobLocals[i] = it.rj.ActiveLocals(it.pid, nil)
-		total += len(jobLocals[i])
+		ts.locals[i] = it.rj.ActiveLocals(it.pid, ts.locals[i][:0])
+		total += len(ts.locals[i])
 	}
 	chunk := total/(e.cfg.Workers*2) + 1
 	if chunk < 32 {
 		chunk = 32
 	}
-	var tasks []*triggerTask
 	for i, it := range batch {
-		locals := jobLocals[i]
+		locals := ts.locals[i]
 		if !split || len(locals) <= chunk {
-			tasks = append(tasks, &triggerTask{rj: it.rj, pid: it.pid, locals: locals, weight: int64(len(locals))})
+			ts.task(it.rj, it.pid, int64(len(locals))).locals = locals
 			continue
 		}
 		for lo := 0; lo < len(locals); lo += chunk {
@@ -1358,10 +1421,9 @@ func (e *Engine) staticTasks(batch []unitJob, split bool) []*triggerTask {
 			if hi > len(locals) {
 				hi = len(locals)
 			}
-			tasks = append(tasks, &triggerTask{rj: it.rj, pid: it.pid, locals: locals[lo:hi], weight: int64(hi - lo)})
+			ts.task(it.rj, it.pid, int64(hi-lo)).locals = locals[lo:hi]
 		}
 	}
-	return tasks
 }
 
 // ExecStats is a point-in-time snapshot of the work-stealing executor's

@@ -9,7 +9,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"cgraph/internal/bitset"
 	"cgraph/internal/graph"
@@ -80,6 +79,8 @@ type Job struct {
 	// advances (lazily allocated, delayed mode only).
 	sinceBarrier int
 	pending      []*bitset.Set
+
+	push pushBuf
 }
 
 // NewJob builds a job over the given snapshot, initializing its private
@@ -279,114 +280,165 @@ type PushSummary struct {
 	// Entries is the number of Snew sync entries handled.
 	Entries int64
 	// TouchedParts lists the distinct partitions whose private slices were
-	// read or written, in ascending order.
+	// read or written, in ascending order. It is a job-owned buffer: it
+	// stays valid only until the job's next Push, so callers read it
+	// immediately.
 	TouchedParts []int
+}
+
+// pushEntry is one Snew sync entry: a mirror's Δ addressed to its master.
+type pushEntry struct {
+	part  int32
+	local uint32
+	delta float64
+}
+
+// pushBuf is the job-owned working set of Push. It is sized on the first
+// call and reused by every later one, so a steady-state Push allocates
+// nothing; the entry buffers grow only when an iteration produces more
+// sync entries than any before it.
+type pushBuf struct {
+	gathered []pushEntry // Snew in gather order (partition, local)
+	sorted   []pushEntry // Snew bucketed by master partition
+	offsets  []int       // counting-sort bucket offsets, one per partition + 1
+	// masters flags, per partition, the master replicas to aggregate this
+	// call; each set is cleared as it is walked.
+	masters []*bitset.Set
+	touched []bool
+	parts   []int // TouchedParts backing
+}
+
+func (j *Job) pushBuffers() *pushBuf {
+	b := &j.push
+	if b.masters == nil {
+		np := len(j.PG.Parts)
+		b.offsets = make([]int, np+1)
+		b.masters = make([]*bitset.Set, np)
+		for pid, p := range j.PG.Parts {
+			b.masters[pid] = bitset.New(p.NumVertices())
+		}
+		b.touched = make([]bool, np)
+		b.parts = make([]int, 0, np)
+	}
+	return b
 }
 
 // Push is Algorithm 2: collect the Δ of every mirror replica that received
 // contributions into Snew entries, sort them by master location, fold them
-// into the masters, then — deviating from the paper's literal pseudocode as
-// documented in DESIGN.md — store the aggregated Δ into every replica of
-// each still-active vertex and mark those replicas active for the next
-// iteration. Residual sub-threshold deltas stay accumulated at the master so
-// no contribution mass is ever lost.
+// into the masters, then store the aggregated Δ into every replica of each
+// still-active vertex and mark those replicas active for the next
+// iteration. Residual sub-threshold deltas stay accumulated at the master
+// so no contribution mass is ever lost.
+//
+// The write-back is where this deviates from the paper's literal
+// pseudocode: every replica, not only the master, receives the aggregated
+// Δ and is activated, so each replica runs the same Apply on the same
+// state and all replicas of a vertex hold identical values after every
+// iteration (the invariant CheckReplicaConsistency verifies).
+//
+// SortD is a stable counting sort keyed by master partition, so the
+// master-side updates are sequential per private partition and each master
+// folds its mirror deltas in ascending mirror-partition order (the gather
+// order) — a defined order, which fixes the float accumulation of sum
+// programs. Masters to aggregate are flagged in per-partition bitsets and
+// walked in ascending (partition, local) order, the deterministic order of
+// the write-back. All working memory lives in the job (see pushBuf).
 func (j *Job) Push() PushSummary {
 	ident := j.Prog.Identity()
 	pg := j.PG
-
-	type entry struct {
-		v          model.VertexID
-		masterPart int32
-		delta      float64
-	}
-	var entries []entry
-	touched := make(map[int]bool)
-	type pv struct {
-		part  int32
-		local uint32
-	}
-	masterSeen := make(map[pv]bool)
-	var masters []pv
+	b := j.pushBuffers()
 
 	// Gather: mirrors hand their Δ to Snew and reset; masters with direct
 	// receipts join the aggregation set.
-	for pid := range pg.Parts {
+	entries := b.gathered[:0]
+	for pid, p := range pg.Parts {
 		states := j.PT.States[pid]
-		j.PT.Received[pid].Range(func(li int) bool {
-			if states[li].Delta == ident {
-				return true
+		recv := j.PT.Received[pid]
+		isMaster := pg.Masters[pid]
+		masters := b.masters[pid]
+		for li := recv.NextSet(0); li >= 0; li = recv.NextSet(li + 1) {
+			d := states[li].Delta
+			if d == ident {
+				continue
 			}
-			touched[pid] = true
-			if pg.IsMaster(pid, uint32(li)) {
-				key := pv{int32(pid), uint32(li)}
-				if !masterSeen[key] {
-					masterSeen[key] = true
-					masters = append(masters, key)
-				}
-				return true
+			b.touched[pid] = true
+			if isMaster[li] {
+				masters.Set(li)
+				continue
 			}
-			entries = append(entries, entry{
-				v:          pg.Parts[pid].Globals[li],
-				masterPart: pg.MasterPart(pid, uint32(li)),
-				delta:      states[li].Delta,
-			})
+			m := pg.MasterOf[p.Globals[li]]
+			entries = append(entries, pushEntry{part: m.Part, local: m.Local, delta: d})
 			states[li].Delta = ident
-			return true
-		})
-	}
-
-	// SortD: batch entries by master partition so the master-side updates
-	// are sequential per private partition.
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].masterPart != entries[b].masterPart {
-			return entries[a].masterPart < entries[b].masterPart
 		}
-		return entries[a].v < entries[b].v
-	})
+	}
+	b.gathered = entries
+
+	// SortD: stable counting sort by master partition.
+	off := b.offsets
+	clear(off)
+	for _, e := range entries {
+		off[e.part+1]++
+	}
+	for p := 1; p < len(off); p++ {
+		off[p] += off[p-1]
+	}
+	if cap(b.sorted) < len(entries) {
+		b.sorted = make([]pushEntry, len(entries), cap(entries))
+	}
+	sorted := b.sorted[:len(entries)]
+	for _, e := range entries {
+		sorted[off[e.part]] = e
+		off[e.part]++
+	}
 
 	// Accumulate into masters.
-	for _, e := range entries {
-		m := pg.MasterOf[e.v]
-		st := &j.PT.States[m.Part][m.Local]
+	for _, e := range sorted {
+		st := &j.PT.States[e.part][e.local]
 		st.Delta = j.Prog.Acc(st.Delta, e.delta)
-		touched[int(m.Part)] = true
-		key := pv{m.Part, m.Local}
-		if !masterSeen[key] {
-			masterSeen[key] = true
-			masters = append(masters, key)
-		}
+		b.touched[e.part] = true
+		b.masters[e.part].Set(int(e.local))
 	}
-
-	// Deterministic master order.
-	sort.Slice(masters, func(a, b int) bool {
-		if masters[a].part != masters[b].part {
-			return masters[a].part < masters[b].part
-		}
-		return masters[a].local < masters[b].local
-	})
 
 	// Decide activation and broadcast the aggregated Δ to the replicas of
 	// still-active vertices (SortS write-back, batched per partition by
-	// the ReplicaLocations ordering).
-	for _, m := range masters {
-		st := &j.PT.States[m.part][m.local]
-		if st.Delta == ident || !j.Prog.IsActive(*st) {
-			continue // residual stays at the master
+	// the ReplicaLocations ordering). Only touched partitions can hold
+	// flagged masters.
+	for pid, touched := range b.touched {
+		if !touched {
+			continue
 		}
-		v := pg.Parts[m.part].Globals[m.local]
-		final := st.Delta
-		for _, loc := range pg.ReplicaLocations(v) {
-			j.PT.States[loc.Part][loc.Local].Delta = final
-			j.PT.Next[loc.Part].Set(int(loc.Local))
-			touched[int(loc.Part)] = true
+		states := j.PT.States[pid]
+		globals := pg.Parts[pid].Globals
+		masters := b.masters[pid]
+		for li := masters.NextSet(0); li >= 0; li = masters.NextSet(li + 1) {
+			st := &states[li]
+			if st.Delta == ident || !j.Prog.IsActive(*st) {
+				continue // residual stays at the master
+			}
+			locs, replicated := pg.Replicas[globals[li]]
+			if !replicated {
+				j.PT.Next[pid].Set(li)
+				continue
+			}
+			final := st.Delta
+			for _, loc := range locs {
+				j.PT.States[loc.Part][loc.Local].Delta = final
+				j.PT.Next[loc.Part].Set(int(loc.Local))
+				b.touched[loc.Part] = true
+			}
 		}
+		masters.Reset()
 	}
 
-	sum := PushSummary{Entries: int64(len(entries))}
-	for pid := range touched {
-		sum.TouchedParts = append(sum.TouchedParts, pid)
+	parts := b.parts[:0]
+	for pid, touched := range b.touched {
+		if touched {
+			parts = append(parts, pid)
+			b.touched[pid] = false
+		}
 	}
-	sort.Ints(sum.TouchedParts)
+	b.parts = parts
+	sum := PushSummary{Entries: int64(len(entries)), TouchedParts: parts}
 	j.SyncEntries += sum.Entries
 	return sum
 }
@@ -472,7 +524,8 @@ func (v stateView) Set(id model.VertexID, s model.State, active bool) {
 }
 
 // CheckReplicaConsistency verifies that every replica of every vertex holds
-// the same value (the Push invariant from DESIGN.md §5); used by tests.
+// the same value — the invariant Push maintains by broadcasting each
+// master's aggregated Δ to all of its replicas; used by tests.
 func (j *Job) CheckReplicaConsistency() error {
 	for v, locs := range j.PG.Replicas {
 		first := j.PT.States[locs[0].Part][locs[0].Local].Value

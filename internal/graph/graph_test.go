@@ -95,7 +95,12 @@ func TestPartitionErrors(t *testing.T) {
 	}
 }
 
-// checkInvariants verifies the partitioning invariants from DESIGN.md §5.
+// checkInvariants verifies the vertex-cut partitioning invariants: every
+// edge lands in exactly one partition with consistent out/in CSRs, each
+// partition's vertex table is sorted and agrees with LocalOf, every vertex
+// with an edge has exactly one master, and each replica's MasterPart names
+// the partition holding that master, and every replica list names slots
+// that hold its vertex.
 func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 	t.Helper()
 	// Every edge appears exactly once across partitions.
